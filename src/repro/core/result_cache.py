@@ -200,16 +200,25 @@ class ResultCache:
         cfg = self.config
         if entry.nbytes > cfg.mem_result_bytes:
             return  # cache too small for even one entry
-        while self.l1_bytes + entry.nbytes > cfg.mem_result_bytes:
+        key = entry.query_key
+        while True:
+            if key in self.l1:
+                # Re-admission of a resident key is a replace: count its
+                # bytes once.  Under the kernel two in-flight misses on one
+                # query both admit it, the second possibly while this call
+                # waits on an eviction's SSD write, so check every round.
+                self.l1_bytes -= self.l1.pop(key).nbytes
+            if self.l1_bytes + entry.nbytes <= cfg.mem_result_bytes:
+                break
             _, victim = self.l1.pop_lru()
             self.l1_bytes -= victim.nbytes
             self.events.evict(EvictEvent(kind="result", key=victim.query_key,
                                          level="l1", nbytes=victim.nbytes,
                                          reason="capacity"))
             self._on_evicted(victim)
-        self.l1.insert(entry.query_key, entry)
+        self.l1.insert(key, entry)
         self.l1_bytes += entry.nbytes
-        self.events.admit(AdmitEvent(kind="result", key=entry.query_key,
+        self.events.admit(AdmitEvent(kind="result", key=key,
                                      level="l1", nbytes=entry.nbytes))
         if cfg.scheme is Scheme.INCLUSIVE and cfg.uses_ssd and not from_lower:
             # Write-through: an inclusive L2 always holds what L1 holds.

@@ -11,6 +11,10 @@ Two levels of skew drive the paper's caching results:
 A log is a concrete sequence of :class:`~repro.engine.query.Query`
 objects; distinct queries with the same key share a query id, so result
 caches can key on either.
+
+Query terms are drawn by :func:`draw_terms` from one term CDF built per
+log; it reproduces ``Generator.choice(replace=False, p=...)`` draw for
+draw, so a log is bit-for-bit the one ``choice`` would give.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from repro.engine.corpus import zipf_mandelbrot_probs
 from repro.engine.query import Query
 from repro.sim.rng import make_rng
 
-__all__ = ["QueryLogConfig", "QueryLog", "generate_query_log"]
+__all__ = ["QueryLogConfig", "QueryLog", "draw_terms", "generate_query_log"]
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,33 @@ class QueryLog:
         return len(np.unique(self.stream_ids)) / max(1, len(self))
 
 
+def draw_terms(rng: np.random.Generator, p: np.ndarray, cdf: np.ndarray,
+               n: int) -> list[int]:
+    """``n`` distinct terms drawn with probabilities ``p``.
+
+    Equal, term for term and in generator state afterwards, to
+    ``rng.choice(p.size, size=n, replace=False, p=p)``, given
+    ``cdf = np.cumsum(p); cdf /= cdf[-1]``.  ``choice`` re-validates,
+    copies and re-sums ``p`` on every call; drawing against the prebuilt
+    ``cdf`` does only its first pass.  A repeated term falls back to
+    ``choice``'s own retry loop: zero ``p`` at the terms found so far,
+    rebuild the CDF, draw the shortfall and keep each new term's first
+    occurrence in draw order.
+    """
+    found = cdf.searchsorted(rng.random(n), side="right").tolist()
+    if len(set(found)) == n:
+        return found
+    found = list(dict.fromkeys(found))
+    p = p.copy()
+    while len(found) < n:
+        x = rng.random(n - len(found))
+        p[found] = 0
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        found.extend(dict.fromkeys(cdf.searchsorted(x, side="right").tolist()))
+    return found
+
+
 def generate_query_log(config: QueryLogConfig | None = None) -> QueryLog:
     """Build a deterministic synthetic query log."""
     config = config or QueryLogConfig()
@@ -104,11 +135,13 @@ def generate_query_log(config: QueryLogConfig | None = None) -> QueryLog:
     damp = np.minimum(1.0, np.arange(1, config.vocab_size + 1) / 25.0) ** 0.5
     term_pick = term_probs * damp
     term_pick /= term_pick.sum()
+    term_cdf = np.cumsum(term_pick)
+    term_cdf /= term_cdf[-1]
 
     def draw_query(qid: int, seen_keys: dict) -> Query:
         n = int(rng.integers(config.min_terms, config.max_terms + 1))
-        terms = rng.choice(config.vocab_size, size=n, replace=False, p=term_pick)
-        q = Query(query_id=qid, terms=tuple(int(t) for t in terms),
+        terms = draw_terms(rng, term_pick, term_cdf, n)
+        q = Query(query_id=qid, terms=tuple(terms),
                   text=" ".join(f"term{t:05d}" for t in terms))
         key = q.key
         if key in seen_keys:

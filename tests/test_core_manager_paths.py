@@ -4,7 +4,7 @@ warmup budgets, and configuration presets."""
 import pytest
 
 from repro.core.config import CacheConfig, Policy, Scheme
-from repro.core.entries import EntryState
+from repro.core.entries import CachedResult, EntryState
 from repro.core.manager import CacheManager, build_hierarchy_for
 from repro.engine.corpus import CorpusConfig
 from repro.engine.index import InvertedIndex
@@ -68,6 +68,40 @@ def test_hybrid_list_reeviction_skips_rewrite(index):
     if mgr.l2_lists.get(t0) is not None:  # unless evicted by pressure
         assert mgr.stats.ssd_writes_avoided >= avoided_before
     mgr.check_invariants()
+
+
+def test_result_readmission_replaces_resident_entry(index):
+    """Two in-flight misses on one query (kernel mode) both admit its
+    result; the second admission replaces the first instead of counting
+    its bytes twice or evicting a neighbour to make room for it."""
+    mgr = build(index)
+    rc = mgr.result_cache
+    for k in range(5):  # fill L1 exactly: 5 x 20 KB = 100 KB
+        rc.admit_l1(CachedResult(query_key=(k,), nbytes=20 * KB), from_lower=False)
+    rc.admit_l1(CachedResult(query_key=(2,), nbytes=20 * KB), from_lower=False)
+    rc.check_invariants()
+    assert rc.l1_bytes == 100 * KB
+    assert sorted(rc.l1.keys()) == [(k,) for k in range(5)]
+
+
+def test_result_readmission_during_eviction_counts_bytes_once(index):
+    """The second admission may land while the first waits on the SSD
+    write of an eviction it made room with; the first then replaces it."""
+    mgr = build(index)
+    rc = mgr.result_cache
+    for k in range(5):
+        rc.admit_l1(CachedResult(query_key=(k,), nbytes=20 * KB), from_lower=False)
+    on_evicted = rc._on_evicted
+
+    def other_task_admits(victim):
+        rc._on_evicted = on_evicted
+        on_evicted(victim)
+        rc.admit_l1(CachedResult(query_key=(9,), nbytes=20 * KB), from_lower=False)
+
+    rc._on_evicted = other_task_admits
+    rc.admit_l1(CachedResult(query_key=(9,), nbytes=20 * KB), from_lower=False)
+    rc.check_invariants()
+    assert sorted(rc.l1.keys()) == [(1,), (2,), (3,), (4,), (9,)]
 
 
 def test_warmup_static_respects_block_budget(index):

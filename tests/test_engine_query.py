@@ -1,11 +1,14 @@
 """Query objects and the query-log generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.analysis.zipf import fit_zipf_exponent
 from repro.engine.query import Query
 from repro.engine.querylog import QueryLogConfig, generate_query_log
+from repro.workloads.sweep import make_log_for
 
 
 def test_query_key_is_sorted_unique():
@@ -65,7 +68,27 @@ def test_log_determinism():
     a = generate_query_log(cfg)
     b = generate_query_log(cfg)
     assert np.array_equal(a.stream_ids, b.stream_ids)
-    assert a.pool[0].terms == b.pool[0].terms
+    assert [(q.query_id, q.terms, q.text) for q in a.pool] == [
+        (q.query_id, q.terms, q.text) for q in b.pool]
+
+
+def _log_digest(log) -> str:
+    h = hashlib.sha256()
+    for q in log.pool:
+        h.update(f"{q.query_id}|{','.join(map(str, q.terms))}|{q.text}\n".encode())
+    h.update(np.asarray(log.stream_ids, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("num_queries, digest", [
+    # seed-1 logs of the benchmark's paper-cbslru and lru-churn workloads,
+    # recorded when terms were still drawn with Generator.choice
+    (14_000, "40cce86a1a66daed28571fd7507f49de4ca1fd7cfb66926fc94e1e90a4bfe230"),
+    (10_000, "23fab0c9a7718de1cf6e0190b68cf01fcfd3feca2d19edc9d8a1af9108dd55d1"),
+])
+def test_benchmark_logs_are_pinned(num_queries, digest):
+    log = make_log_for(num_queries, distinct_queries=4_000, seed=1000)
+    assert _log_digest(log) == digest
 
 
 def test_log_repetition_exists(small_log):

@@ -13,7 +13,10 @@ the two never diverge:
 * LRU — the intrusive slot arena behaves exactly like an
   ``OrderedDict`` model over its full operation set;
 * telemetry — ``Histogram.bucket_index``'s bisect over the exact
-  boundary table matches the float-log reference oracle.
+  boundary table matches the float-log reference oracle;
+* query log — ``draw_terms`` against a prebuilt CDF matches
+  ``Generator.choice(replace=False, p=...)`` term for term and in
+  generator state.
 """
 
 import numpy as np
@@ -27,6 +30,8 @@ from repro.engine.codec import (
     varbyte_decode,
     varbyte_encode,
 )
+from repro.engine.corpus import zipf_mandelbrot_probs
+from repro.engine.querylog import draw_terms
 from repro.flash.constants import FlashConfig
 from repro.flash.ftl_page import PageMappingFTL
 from repro.obs.instruments import Histogram
@@ -280,3 +285,52 @@ def test_histogram_record_and_drain_consistency(values):
     assert h.take_bucket_deltas() == seen
     assert h.count == len(values)
     assert h.sum == pytest.approx(sum(values))
+
+
+# ---------------------------------------------------------------------------
+# query log: prebuilt-CDF term sampler vs Generator.choice
+# ---------------------------------------------------------------------------
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
+# Zipf-Mandelbrot (n, s, q).  Tiny, very skewed vocabularies make repeated
+# draws (and so the retry loop) the common case; the 10,000-term one is
+# the query log's shape.
+_VOCABS = st.one_of(
+    st.tuples(st.integers(6, 12), st.sampled_from([2.0, 3.0, 4.0]), st.just(0.0)),
+    st.just((10_000, 1.0, 2.7)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), vocab=_VOCABS,
+       sizes=st.lists(st.integers(1, 4), min_size=1, max_size=8))
+def test_draw_terms_matches_generator_choice(seed, vocab, sizes):
+    p = zipf_mandelbrot_probs(*vocab)
+    cdf = _cdf(p)
+    fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in sizes:
+        got = draw_terms(fast, p, cdf, n)
+        want = ref.choice(p.size, size=n, replace=False, p=p)
+        assert got == want.tolist()
+    assert fast.bit_generator.state == ref.bit_generator.state
+
+
+def test_draw_terms_retry_loop_runs_and_matches():
+    """On a 6-term vocabulary with p[0] ~ 0.84 most 4-term draws repeat
+    a term on the first pass; the retry loop must still match ``choice``."""
+    p = zipf_mandelbrot_probs(6, 3.0, 0.0)
+    cdf = _cdf(p)
+    retried = 0
+    for seed in range(50):
+        probe = np.random.default_rng(seed)
+        retried += len(set(cdf.searchsorted(probe.random(4), side="right"))) < 4
+        fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert draw_terms(fast, p, cdf, 4) == ref.choice(
+            6, size=4, replace=False, p=p).tolist()
+        assert fast.bit_generator.state == ref.bit_generator.state
+    assert retried > 25
