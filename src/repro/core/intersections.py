@@ -206,7 +206,8 @@ class ThreeLevelCacheManager(CacheManager):
                + costs.per_posting_us * (remaining_postings + inter_postings)
                + costs.per_result_us * self.processor.top_k)
         self.clock.consume(self.hierarchy.cpu_channel, cpu, charge=False)
-        self.processor.execute(plan, materialize=self.materialize_results)
+        if self.materialize_results:
+            self.processor.execute(plan, materialize=True)
         entry = CachedResult(
             query_key=query.key,
             nbytes=self.config.result_entry_bytes,

@@ -160,7 +160,10 @@ class ListCache:
                 src_ssd = True
                 covered += take
                 l2.touch()
-                if not is_static:
+                # Under the kernel another task may evict or replace the
+                # entry while this one waits on the read: serve the bytes
+                # already read and leave the cache alone.
+                if not is_static and self.l2.get(term_id) is l2:
                     self.l2.touch(term_id)
                     if self.config.scheme is Scheme.EXCLUSIVE:
                         self.drop_l2(term_id, trim=True, reason="exclusive-promote")
@@ -193,15 +196,19 @@ class ListCache:
     def _read_l2_bytes(self, entry: CachedList, offset: int, nbytes: int) -> None:
         """Read ``nbytes`` of a cached list starting at ``offset`` from SSD."""
         sb = self.config.block_bytes
+        # Snapshot the placement: a concurrent drop_l2 during one of the
+        # reads below clears ``entry.blocks``.
+        blocks = entry.blocks
+        lba_byte = entry.lba_byte
         remaining = nbytes
         pos = offset
         while remaining > 0:
-            if entry.blocks:
-                blk = entry.blocks[min(pos // sb, len(entry.blocks) - 1)]
+            if blocks:
+                blk = blocks[min(pos // sb, len(blocks) - 1)]
                 lba = self.region.lba_of(blk) + (pos % sb) // SECTOR_BYTES
             else:
-                assert entry.lba_byte is not None, "SSD list entry without placement"
-                lba = entry.lba_byte + pos // SECTOR_BYTES
+                assert lba_byte is not None, "SSD list entry without placement"
+                lba = lba_byte + pos // SECTOR_BYTES
             chunk = min(remaining, sb - (pos % sb))
             self.ssd.read(lba, chunk)
             pos += chunk

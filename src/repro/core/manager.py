@@ -263,7 +263,10 @@ class CacheManager:
         # work still contends for the shard's CPU lanes.
         self.clock.consume(self.hierarchy.cpu_channel,
                            self.processor.cpu_time_us(plan), charge=False)
-        self.processor.execute(plan, materialize=self.materialize_results)
+        # A cached result is modelled by its size alone; only a
+        # materializing run needs the ranked page itself.
+        if self.materialize_results:
+            self.processor.execute(plan, materialize=True)
         entry = CachedResult(
             query_key=query.key,
             nbytes=self.config.result_entry_bytes,

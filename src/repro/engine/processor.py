@@ -90,10 +90,6 @@ class QueryProcessor:
         self.costs = costs or ProcessorCosts()
         self.top_k = top_k
         self._rng = make_rng(seed)
-        # Surrogate rankings are pure functions of the query key (and
-        # top_k / corpus size), so repeat misses reuse the entry.
-        self._surrogates: dict[tuple[int, ...], ResultEntry] = {}
-        self._surrogate_steps: tuple[tuple[int, ...], tuple[float, ...]] | None = None
 
     # -- planning -------------------------------------------------------------
 
@@ -147,20 +143,12 @@ class QueryProcessor:
 
         With ``materialize=True`` real posting data is fetched and scored
         (tf-idf with accumulators); otherwise a deterministic surrogate
-        ranking is returned — byte-identical in size, so cache behaviour
-        is unaffected, but ~100x faster for large sweeps.
+        ranking, a pure function of the query key, is built on demand.
+        The cache managers call this only when materializing: a cached
+        result is modelled by its size alone, so surrogate-mode serving
+        builds no result page.
         """
-        if materialize:
-            results = self._score(plan)
-        else:
-            key = plan.query.key
-            cached = self._surrogates.get(key)
-            if cached is None:
-                cached = self._surrogates[key] = ResultEntry(
-                    query_key=key, results=tuple(self._surrogate(plan)),
-                    top_k=self.top_k,
-                )
-            return cached
+        results = self._score(plan) if materialize else self._surrogate(plan)
         return ResultEntry(
             query_key=plan.query.key, results=tuple(results), top_k=self.top_k
         )
@@ -187,17 +175,5 @@ class QueryProcessor:
         base = hash(plan.query.key) & 0x7FFFFFFF
         n_docs = self.index.num_docs
         k = min(self.top_k, n_docs)
-        steps = self._surrogate_steps
-        if steps is None or len(steps[1]) != k:
-            # Per-rank constants: the doc-id stride and the descending
-            # score ladder only depend on k, not on the query.
-            steps = self._surrogate_steps = (
-                tuple(7919 * i for i in range(k)),
-                tuple(float(k - i) for i in range(k)),
-            )
-        strides, scores = steps
-        return list(map(
-            SearchResult,
-            ((base + s) % n_docs for s in strides),
-            scores,
-        ))
+        return [SearchResult(doc_id=(base + 7919 * i) % n_docs, score=float(k - i))
+                for i in range(k)]

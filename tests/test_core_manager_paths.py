@@ -104,6 +104,38 @@ def test_result_readmission_during_eviction_counts_bytes_once(index):
     assert sorted(rc.l1.keys()) == [(1,), (2,), (3,), (4,), (9,)]
 
 
+@pytest.mark.parametrize("policy", [Policy.CBLRU, Policy.LRU])
+def test_l2_list_eviction_during_ssd_read_serves_bytes_read(index, policy):
+    """Another task may evict an SSD list while this one waits on its
+    read: the read finishes from the placement it started with, and the
+    fetch serves those bytes without touching the cache it no longer owns."""
+    mgr = build(index, policy=policy, mem_list_bytes=256 * KB,
+                block_bytes=8 * KB, result_entry_bytes=4 * KB)
+    for i, t in enumerate(range(10, 22)):
+        mgr.process_query(Query(i, (t,)))
+    lc = mgr.list_cache
+    term = next(t for t in lc.l2.keys() if lc.l1.get(t) is None)
+    entry = lc.l2.get(term)
+    read = lc.ssd.read
+    reads = []
+
+    def other_task_evicts(lba, nbytes):
+        out = read(lba, nbytes)
+        reads.append(nbytes)
+        if len(reads) == 1:
+            lc.drop_l2(term, trim=True, reason="evicted")
+        return out
+
+    lc.ssd.read = other_task_evicts
+    flags = lc.fetch(term, entry.cached_bytes, entry.total_bytes, entry.pu)
+    assert len(reads) > 1 and sum(reads) == entry.cached_bytes
+    assert flags == (False, True, False)
+    assert lc.l2.get(term) is None
+    assert entry.state is EntryState.NORMAL
+    assert lc.l1.get(term) is not None
+    mgr.check_invariants()
+
+
 def test_warmup_static_respects_block_budget(index):
     log = generate_query_log(QueryLogConfig(
         num_queries=600, distinct_queries=200, vocab_size=80,
